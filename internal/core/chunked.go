@@ -72,6 +72,12 @@ const (
 	MaxChunkBytes = 64 << 20
 )
 
+// maxChunkRaw is the largest chunk any chunker writes: a fixed chunk is
+// at most MaxChunkBytes, a content-defined one at most the CDC ceiling of
+// four times its target (cdcParamsFor). Decoders bound every length they
+// read from stored bytes by it before sizing a buffer.
+const maxChunkRaw = 4 * MaxChunkBytes
+
 const (
 	chunkManifestMagic   = "QCKPT-CHUNKS2"
 	chunkManifestMagicV1 = "QCKPT-CHUNKS1"
@@ -153,6 +159,9 @@ func decodeChunkFrame(frame []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: chunk frame too short (%d bytes)", ErrCorrupt, len(frame))
 	}
 	rawLen := int(binary.LittleEndian.Uint32(frame[1:]))
+	if rawLen > maxChunkRaw {
+		return nil, fmt.Errorf("%w: chunk frame claims %d bytes", ErrCorrupt, rawLen)
+	}
 	body := frame[chunkFrameHeader:]
 	switch frame[0] {
 	case chunkFrameRaw:
@@ -278,6 +287,9 @@ func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 		}
 		info.addrs = append(info.addrs, line)
 	}
+	if info.rawLen > len(info.addrs)*maxChunkRaw {
+		return info, fmt.Errorf("%w: chunk manifest claims %d bytes in %d chunks", ErrCorrupt, info.rawLen, len(info.addrs))
+	}
 	return info, nil
 }
 
@@ -301,35 +313,6 @@ func splitChunks(body []byte, size int) [][]byte {
 		chunks[i] = body[off:end]
 	}
 	return chunks
-}
-
-// assembleChunks reconstructs a chunked snapshot's body from its manifest
-// serially; assembleChunksOptions (restore.go) is the engine-selecting
-// form the recovery path uses.
-func assembleChunks(cs *storage.ChunkStore, manifest []byte) ([]byte, error) {
-	info, err := decodeChunkManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
-	return assembleAddrs(cs, info.rawLen, info.addrs, info.framed)
-}
-
-// assembleAddrs is the serial assembly path: each chunk is fetched
-// (content-verified by the store), unframed, and concatenated in manifest
-// order.
-func assembleAddrs(cs *storage.ChunkStore, rawLen int, addrs []string, framed bool) ([]byte, error) {
-	body := make([]byte, 0, rawLen)
-	for _, addr := range addrs {
-		raw, err := fetchChunk(cs, addr, framed)
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, raw...)
-	}
-	if len(body) != rawLen {
-		return nil, fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrCorrupt, len(body), rawLen)
-	}
-	return body, nil
 }
 
 // ChunkManifestSummary describes a chunked snapshot's manifest for

@@ -24,6 +24,10 @@ import (
 //	curLen  uint64
 //	baseLen uint64 (validated at apply time)
 //	body    [curLen]byte — XOR over min(curLen, baseLen), raw beyond
+//
+// Restore applies a chain's deltas in place: the anchor's payload buffer
+// is resized to each link's curLen (zero-extended when it grows) and the
+// link's body is XORed into it, so the raw tail lands as-is.
 
 // xorWith XORs src into dst in place over their common length, word-wise
 // with a byte tail.
@@ -56,24 +60,52 @@ func AppendDelta(dst, base, cur []byte) []byte {
 	return dst
 }
 
+// deltaHeader is the fixed curLen+baseLen prefix of a delta.
+const deltaHeader = 16
+
 // ApplyDelta reconstructs cur from base and a delta produced by
-// EncodeDelta. It rejects deltas whose recorded base length does not match
-// the supplied base (wrong chain link).
+// EncodeDelta, leaving base untouched. It rejects deltas whose recorded
+// base length does not match the supplied base (wrong chain link). It is
+// the reference the in-place chain paths are tested against.
 func ApplyDelta(base, delta []byte) ([]byte, error) {
-	if len(delta) < 16 {
+	out := make([]byte, len(base), max(len(base), len(delta)-deltaHeader))
+	copy(out, base)
+	return applyDeltaInPlace(out, delta)
+}
+
+// applyDeltaInPlace is ApplyDelta on a payload the caller owns: the
+// payload is resized to the delta's length and the body XORed into it
+// where it lies. The result may share payload's backing array.
+func applyDeltaInPlace(payload, delta []byte) ([]byte, error) {
+	if len(delta) < deltaHeader {
 		return nil, fmt.Errorf("core: delta too short (%d bytes)", len(delta))
 	}
-	curLen := binary.LittleEndian.Uint64(delta)
-	baseLen := binary.LittleEndian.Uint64(delta[8:])
-	if baseLen != uint64(len(base)) {
-		return nil, fmt.Errorf("core: delta expects base of %d bytes, got %d", baseLen, len(base))
+	payload, err := beginDelta(payload, delta[:deltaHeader], len(delta)-deltaHeader)
+	if err != nil {
+		return nil, err
 	}
-	body := delta[16:]
-	if uint64(len(body)) != curLen {
-		return nil, fmt.Errorf("core: delta body %d bytes, header says %d", len(body), curLen)
+	xorWith(payload, delta[deltaHeader:])
+	return payload, nil
+}
+
+// beginDelta is the one delta header check. It verifies the recorded base
+// length against payload and the recorded curLen against bodyLen, the
+// length of the body that follows the header, then resizes payload to
+// curLen: truncated when the payload shrinks, zero-extended when it
+// grows, so XORing the body over the result yields cur. curLen is only
+// trusted once it equals bodyLen, which the caller has already bounded by
+// the bytes it holds or the manifest it checked.
+func beginDelta(payload, hdr []byte, bodyLen int) ([]byte, error) {
+	curLen := binary.LittleEndian.Uint64(hdr)
+	baseLen := binary.LittleEndian.Uint64(hdr[8:])
+	if baseLen != uint64(len(payload)) {
+		return nil, fmt.Errorf("core: delta expects base of %d bytes, got %d", baseLen, len(payload))
 	}
-	out := make([]byte, curLen)
-	copy(out, body)
-	xorWith(out, base)
-	return out, nil
+	if uint64(bodyLen) != curLen {
+		return nil, fmt.Errorf("core: delta body %d bytes, header says %d", bodyLen, curLen)
+	}
+	if bodyLen <= len(payload) {
+		return payload[:bodyLen], nil
+	}
+	return append(payload, make([]byte, bodyLen-len(payload))...), nil
 }

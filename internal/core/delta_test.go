@@ -2,11 +2,41 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/storage"
 )
+
+// applyStreamed applies delta to a copy of base the way chain restore
+// does for a chunked link: delta is chunked at chunkBytes (small sizes
+// make the 16-byte header straddle chunks) and the engine opt selects
+// streams it through a deltaSink into the payload in place.
+func applyStreamed(t *testing.T, base, delta []byte, chunkBytes int, opt RestoreOptions) ([]byte, error) {
+	t.Helper()
+	cs := storage.NewChunkStore(storage.NewMem())
+	info, err := decodeChunkManifest(buildChunkedBody(t, cs, delta, chunkBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := deltaSink{payload: append([]byte(nil), base...), bodyLen: info.rawLen - deltaHeader}
+	if err := streamChunks(cs, info, opt, d.put); err != nil {
+		return nil, err
+	}
+	return d.payload, nil
+}
+
+// inPlaceCases are the chunkings and engines every in-place apply is
+// checked under, against the reference ApplyDelta.
+var inPlaceCases = []struct {
+	chunkBytes int
+	opt        RestoreOptions
+}{
+	{3, RestoreOptions{}}, {3, RestoreOptions{Workers: 2}},
+	{16, RestoreOptions{}}, {1024, RestoreOptions{Workers: 2}},
+}
 
 func TestDeltaRoundTripSameLength(t *testing.T) {
 	base := []byte{1, 2, 3, 4, 5}
@@ -25,7 +55,12 @@ func TestDeltaRoundTripGrowShrink(t *testing.T) {
 	base := []byte{1, 2, 3}
 	grown := []byte{1, 2, 3, 4, 5, 6}
 	shrunk := []byte{9}
-	for _, cur := range [][]byte{grown, shrunk, {}, base} {
+	// Repeated chunks at 3 bytes, which the engines memoize: all-zero
+	// runs, whose XOR is skipped, and a nonzero pattern, whose is not.
+	long := make([]byte, 40)
+	long[0], long[39] = 1, 2
+	pattern := bytes.Repeat([]byte{5, 6, 7}, 20)
+	for _, cur := range [][]byte{grown, shrunk, {}, base, long, pattern} {
 		d := EncodeDelta(base, cur)
 		got, err := ApplyDelta(base, d)
 		if err != nil {
@@ -33,6 +68,25 @@ func TestDeltaRoundTripGrowShrink(t *testing.T) {
 		}
 		if !bytes.Equal(got, cur) {
 			t.Errorf("cur=%v: got %v", cur, got)
+		}
+		if !bytes.Equal(base, []byte{1, 2, 3}) {
+			t.Fatalf("ApplyDelta modified its base: %v", base)
+		}
+		// The in-place paths must match the reference bitwise, including
+		// over a payload whose capacity already exceeds cur: the grown
+		// region must read as zeros, not as stale bytes.
+		stale := append(bytes.Repeat([]byte{0xEE}, 64)[:0], base...)
+		for _, payload := range [][]byte{append([]byte(nil), base...), stale} {
+			got, err := applyDeltaInPlace(payload, d)
+			if err != nil || !bytes.Equal(got, cur) {
+				t.Errorf("cur=%v: in place got %v, %v", cur, got, err)
+			}
+		}
+		for _, c := range inPlaceCases {
+			got, err := applyStreamed(t, base, d, c.chunkBytes, c.opt)
+			if err != nil || !bytes.Equal(got, cur) {
+				t.Errorf("cur=%v chunk=%d workers=%d: streamed got %v, %v", cur, c.chunkBytes, c.opt.Workers, got, err)
+			}
 		}
 	}
 }
@@ -61,6 +115,24 @@ func TestDeltaRejectsWrongBase(t *testing.T) {
 	if _, err := ApplyDelta(base, append(d, 0)); err == nil {
 		t.Errorf("oversized delta accepted")
 	}
+	for _, c := range inPlaceCases {
+		if _, err := applyStreamed(t, []byte{1, 2, 3}, d, c.chunkBytes, c.opt); err == nil {
+			t.Errorf("chunk=%d workers=%d: streamed apply accepted a wrong-length base", c.chunkBytes, c.opt.Workers)
+		}
+		if _, err := applyStreamed(t, base, append(d, 0), c.chunkBytes, c.opt); err == nil {
+			t.Errorf("chunk=%d workers=%d: streamed apply accepted an oversized delta", c.chunkBytes, c.opt.Workers)
+		}
+	}
+	// A header claiming an absurd curLen is refused before anything is
+	// sized from it.
+	huge := append([]byte(nil), d...)
+	binary.LittleEndian.PutUint64(huge, 1<<62)
+	if _, err := ApplyDelta(base, huge); err == nil {
+		t.Errorf("delta with curLen 2^62 accepted")
+	}
+	if _, err := applyStreamed(t, base, huge, 3, RestoreOptions{Workers: 2}); err == nil {
+		t.Errorf("streamed delta with curLen 2^62 accepted")
+	}
 }
 
 func TestDeltaRoundTripProperty(t *testing.T) {
@@ -76,6 +148,11 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 		}
 		d := EncodeDelta(base, cur)
 		got, err := ApplyDelta(base, d)
+		if err != nil || !bytes.Equal(got, cur) {
+			return false
+		}
+		c := inPlaceCases[int(lenA^lenB)%len(inPlaceCases)]
+		got, err = applyStreamed(t, base, d, c.chunkBytes, c.opt)
 		return err == nil && bytes.Equal(got, cur)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

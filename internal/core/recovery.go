@@ -55,25 +55,69 @@ func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts}
 }
 
-// readBody fully verifies the snapshot object at key and returns its
-// resolved body: the payload or delta bytes, with chunked bodies assembled
-// from the chunk store.
-func (v *snapshotView) readBody(key string) (Header, []byte, error) {
+// open fetches the snapshot object at key and verifies its framing,
+// returning the header and the file body: the payload or delta bytes, or
+// the parsed manifest of a chunked kind.
+func (v *snapshotView) open(key string) (Header, []byte, chunkManifestInfo, error) {
 	data, err := v.b.Get(key)
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, nil, chunkManifestInfo{}, err
 	}
 	h, body, err := DecodeSnapshotFile(data)
+	if err != nil || !h.Kind.Chunked() {
+		return h, body, chunkManifestInfo{}, err
+	}
+	info, err := decodeChunkManifest(body)
+	return h, nil, info, err
+}
+
+// readBody fully verifies the snapshot object at key and returns its
+// resolved body, the payload or delta bytes, in a buffer the caller owns.
+// A chunked body is assembled into capacity for at least minCap bytes.
+func (v *snapshotView) readBody(key string, minCap int) (Header, []byte, error) {
+	h, body, info, err := v.open(key)
+	if err != nil || !h.Kind.Chunked() {
+		return h, body, err
+	}
+	body, err = assembleBody(v.cs, info, v.opts, minCap)
+	return h, body, err
+}
+
+// applyLink applies the delta snapshot at key to payload in place and
+// returns the result, which may share payload's backing array. A chunked
+// delta streams its chunks straight into payload (deltaSink); a
+// monolithic one is XORed in whole.
+func (v *snapshotView) applyLink(key string, payload []byte) ([]byte, error) {
+	h, body, info, err := v.open(key)
 	if err != nil {
-		return h, nil, err
+		return nil, err
 	}
-	if h.Kind.Chunked() {
-		body, err = assembleChunksOptions(v.cs, body, v.opts)
-		if err != nil {
-			return h, nil, err
-		}
+	if !h.Kind.Chunked() {
+		return applyDeltaInPlace(payload, body)
 	}
-	return h, body, nil
+	if info.rawLen < deltaHeader {
+		return nil, fmt.Errorf("core: delta too short (%d bytes)", info.rawLen)
+	}
+	d := deltaSink{payload: payload, bodyLen: info.rawLen - deltaHeader}
+	if err := streamChunks(v.cs, info, v.opts, d.put); err != nil {
+		return nil, err
+	}
+	return d.payload, nil
+}
+
+// linkLen is the payload length the delta link ent reconstructs, read
+// from its chunk manifest; 0 when unknown. A monolithic link is not read
+// ahead, since its length is only known by inflating the whole body.
+// Errors are left to the link's apply.
+func (v *snapshotView) linkLen(ent indexEntry) int {
+	if ent.h.Kind != KindDeltaChunked {
+		return 0
+	}
+	h, _, info, err := v.open(ent.key)
+	if err != nil || !h.Kind.Chunked() {
+		return 0
+	}
+	return info.rawLen - deltaHeader
 }
 
 // buildIndex parses the header of every snapshot object in the backend.
@@ -112,10 +156,12 @@ func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash map[[32]b
 const maxChainLen = 1 << 16
 
 // resolvePayload reconstructs the canonical payload of the snapshot at ent,
-// following the delta chain back to its full anchor. Under parallel
-// RestoreOptions the next link's manifest and chunks are prefetched into
-// the view's cache while the current link is fetched and applied, so cold
-// I/O for link N+1 overlaps the CPU work of link N.
+// following the delta chain back to its full anchor. The anchor's body is
+// the one payload buffer: every later link is applied to it in place, and
+// each link's payload hash is checked before the next link applies. Under
+// parallel RestoreOptions the next link's manifest and chunks are
+// prefetched into the view's cache while the current link is fetched and
+// applied, so cold I/O for link N+1 overlaps the CPU work of link N.
 func (v *snapshotView) resolvePayload(ent indexEntry, byPayloadHash map[[32]byte]indexEntry) (payload []byte, chainLen int, err error) {
 	// Walk back collecting the chain: ent, base(ent), base(base(ent)), …
 	chain := []indexEntry{ent}
@@ -139,7 +185,14 @@ func (v *snapshotView) resolvePayload(ent indexEntry, byPayloadHash map[[32]byte
 	if v.opts.parallel() && len(chain) >= 2 {
 		warmed = pf.start(v, chain[len(chain)-2].key)
 	}
-	_, payload, err = v.readBody(chain[len(chain)-1].key)
+	// The anchor's body is sized for the newest link too, so a payload
+	// that grows along the chain (an accumulator filling between steps)
+	// is not regrown link by link.
+	newest := 0
+	if len(chain) > 1 {
+		newest = v.linkLen(chain[0])
+	}
+	_, payload, err = v.readBody(chain[len(chain)-1].key, newest)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -155,11 +208,7 @@ func (v *snapshotView) resolvePayload(ent indexEntry, byPayloadHash map[[32]byte
 		if ready != nil {
 			ready() // this link's warm has run since the previous iteration
 		}
-		_, delta, err := v.readBody(chain[i].key)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err = ApplyDelta(payload, delta)
+		payload, err = v.applyLink(chain[i].key, payload)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -261,7 +310,7 @@ func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 		if berr != nil {
 			return h, nil, berr
 		}
-		body, err = assembleChunks(newSnapshotView(b, RestoreOptions{}).cs, body)
+		body, err = assembleChunksOptions(newSnapshotView(b, RestoreOptions{}).cs, body, RestoreOptions{})
 		if err != nil {
 			return h, nil, err
 		}
